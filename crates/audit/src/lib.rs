@@ -24,4 +24,4 @@ pub mod oracle;
 pub mod sink;
 
 pub use auditor::{Auditor, Violation};
-pub use oracle::{differential, shrink, Mismatch, OracleJob};
+pub use oracle::{differential, shrink, Mismatch, OracleJob, Schedule};

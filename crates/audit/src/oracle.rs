@@ -11,9 +11,10 @@
 //! which is what makes agreement between them evidence.
 //!
 //! [`differential`] drives both through the same event loop (the engine's
-//! `(time, insertion-seq)` order reproduced exactly) and compares start
-//! times job by job. [`shrink`] greedily minimizes a failing workload to
-//! a smallest counterexample schedule.
+//! `(time, insertion-seq)` order reproduced exactly, submitter cancels
+//! included) and compares start times job by job, then the order in
+//! which jobs started. [`shrink`] greedily minimizes a failing workload
+//! to a smallest counterexample schedule.
 
 use std::fmt;
 
@@ -33,41 +34,75 @@ pub struct OracleJob {
     /// Actual runtime (what the event loop completes with); at most
     /// `estimate`, as in the production driver.
     pub runtime: Duration,
+    /// When the submitter cancels the request, if ever (no earlier than
+    /// `arrival`). A cancel that finds the job already started is
+    /// refused, as the redundant-request protocol expects.
+    pub cancel: Option<SimTime>,
 }
 
-/// A start-time disagreement between production and reference.
+/// What one implementation did with a workload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Schedule {
+    /// Each job's start instant; `None` for a job cancelled while queued.
+    pub starts: Vec<Option<SimTime>>,
+    /// Job indices in the order the scheduler started them.
+    pub order: Vec<usize>,
+}
+
+/// A disagreement between production and reference.
 #[derive(Clone, Copy, Debug)]
 pub struct Mismatch {
     /// Algorithm under test.
     pub alg: Algorithm,
-    /// Index of the first disagreeing job.
+    /// The first job whose start time differs or, when every start time
+    /// agrees, the first job production started out of the reference's
+    /// order.
     pub job: usize,
-    /// When the production scheduler started it.
-    pub production: SimTime,
-    /// When the brute-force reference started it.
-    pub reference: SimTime,
+    /// When the production scheduler started it (`None`: cancelled).
+    pub production: Option<SimTime>,
+    /// When the brute-force reference started it (`None`: cancelled).
+    pub reference: Option<SimTime>,
 }
 
 impl fmt::Display for Mismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: job {} started at {} in production but at {} in the \
-             brute-force reference",
-            self.alg, self.job, self.production, self.reference
-        )
+        let at = |s: Option<SimTime>| s.map_or("never (cancelled)".to_string(), |t| t.to_string());
+        if self.production == self.reference {
+            write!(
+                f,
+                "{}: job {} started at {} in both, but production started it \
+                 out of the brute-force reference's order",
+                self.alg,
+                self.job,
+                at(self.production)
+            )
+        } else {
+            write!(
+                f,
+                "{}: job {} started at {} in production but at {} in the \
+                 brute-force reference",
+                self.alg,
+                self.job,
+                at(self.production),
+                at(self.reference)
+            )
+        }
     }
 }
 
 /// The slice of the [`Scheduler`] interface the oracle event loop needs.
 trait Stepper {
     fn submit(&mut self, now: SimTime, req: Request, starts: &mut Vec<RequestId>);
+    fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool;
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>);
 }
 
 impl Stepper for Box<dyn Scheduler> {
     fn submit(&mut self, now: SimTime, req: Request, starts: &mut Vec<RequestId>) {
         (**self).submit(now, req, starts);
+    }
+    fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
+        (**self).cancel(now, id, starts)
     }
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
         (**self).complete(now, id, starts);
@@ -169,6 +204,15 @@ impl Stepper for RefSched {
         self.pass(now, starts);
     }
 
+    fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
+        let Some(pos) = self.waiting.iter().position(|r| r.id == id) else {
+            return false;
+        };
+        self.waiting.remove(pos);
+        self.pass(now, starts);
+        true
+    }
+
     fn complete(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) {
         let pos = self
             .running
@@ -184,22 +228,37 @@ impl Stepper for RefSched {
 #[derive(Clone, Copy)]
 enum Ev {
     Arrive(usize),
+    Cancel(usize),
     Finish(usize),
 }
 
 /// Drives `target` through the workload with the engine's event order —
 /// minimum `(time, seq)`, arrivals seeded with seqs `0..n` in job order,
-/// completions numbered in start-commit order — and returns each job's
-/// start instant.
-fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Vec<SimTime> {
+/// then cancels in job order, completions numbered in start-commit order
+/// — and records what it started, when and in which order.
+///
+/// Request ids are handed out at submission, in submission order, as the
+/// grid driver does (the schedulers' queues rely on it).
+fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Schedule {
     let n = jobs.len();
     let mut pending: Vec<(SimTime, u64, Ev)> = jobs
         .iter()
         .enumerate()
         .map(|(i, j)| (j.arrival, i as u64, Ev::Arrive(i)))
         .collect();
-    let mut seq = n as u64;
-    let mut started: Vec<Option<SimTime>> = vec![None; n];
+    for (i, j) in jobs.iter().enumerate() {
+        if let Some(at) = j.cancel {
+            pending.push((at, pending.len() as u64, Ev::Cancel(i)));
+        }
+    }
+    let mut seq = pending.len() as u64;
+    let mut id_of: Vec<RequestId> = vec![RequestId(0); n];
+    let mut job_of: Vec<usize> = Vec::with_capacity(n);
+    let mut cancelled = vec![false; n];
+    let mut schedule = Schedule {
+        starts: vec![None; n],
+        order: Vec::with_capacity(n),
+    };
     while !pending.is_empty() {
         let k = (0..pending.len())
             .min_by_key(|&k| (pending[k].0, pending[k].1))
@@ -209,24 +268,28 @@ fn run_schedule<S: Stepper>(target: &mut S, jobs: &[OracleJob]) -> Vec<SimTime> 
         match ev {
             Ev::Arrive(i) => {
                 let job = jobs[i];
-                let req = Request::new(RequestId(i as u64 + 1), job.nodes, job.estimate, now);
+                id_of[i] = RequestId(job_of.len() as u64 + 1);
+                job_of.push(i);
+                let req = Request::new(id_of[i], job.nodes, job.estimate, now);
                 target.submit(now, req, &mut starts);
             }
-            Ev::Finish(i) => target.complete(now, RequestId(i as u64 + 1), &mut starts),
+            Ev::Cancel(i) => cancelled[i] = target.cancel(now, id_of[i], &mut starts),
+            Ev::Finish(i) => target.complete(now, id_of[i], &mut starts),
         }
         for id in starts {
-            let i = (id.0 - 1) as usize;
-            assert!(started[i].is_none(), "job {i} started twice");
-            started[i] = Some(now);
+            let i = job_of[(id.0 - 1) as usize];
+            assert!(schedule.starts[i].is_none(), "job {i} started twice");
+            assert!(!cancelled[i], "job {i} started after its cancel");
+            schedule.starts[i] = Some(now);
+            schedule.order.push(i);
             pending.push((now + jobs[i].runtime, seq, Ev::Finish(i)));
             seq += 1;
         }
     }
-    started
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| panic!("job {i} never started")))
-        .collect()
+    for (i, s) in schedule.starts.iter().enumerate() {
+        assert!(s.is_some() || cancelled[i], "job {i} never started");
+    }
+    schedule
 }
 
 fn validate(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) {
@@ -249,39 +312,51 @@ fn validate(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) {
             j.runtime,
             j.estimate
         );
+        assert!(
+            j.cancel.is_none_or(|c| c >= j.arrival),
+            "oracle job {i} is cancelled before it arrives"
+        );
     }
 }
 
-/// Start times under the production scheduler.
-pub fn production_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Vec<SimTime> {
+/// The schedule the production scheduler produces.
+pub fn production_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Schedule {
     validate(alg, nodes, jobs);
     let mut sched = alg.build(nodes);
     run_schedule(&mut sched, jobs)
 }
 
-/// Start times under the brute-force reference.
-pub fn reference_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Vec<SimTime> {
+/// The schedule the brute-force reference produces.
+pub fn reference_starts(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Schedule {
     validate(alg, nodes, jobs);
     let mut sched = RefSched::new(alg == Algorithm::Easy, nodes);
     run_schedule(&mut sched, jobs)
 }
 
 /// Runs the workload through both implementations and reports the first
-/// job whose start times disagree.
+/// job whose start time disagrees, or failing that the first job started
+/// out of order.
 pub fn differential(alg: Algorithm, nodes: u32, jobs: &[OracleJob]) -> Result<(), Mismatch> {
     let production = production_starts(alg, nodes, jobs);
     let reference = reference_starts(alg, nodes, jobs);
-    for (job, (&p, &r)) in production.iter().zip(&reference).enumerate() {
-        if p != r {
-            return Err(Mismatch {
-                alg,
-                job,
-                production: p,
-                reference: r,
-            });
-        }
+    let by_time = (0..jobs.len()).find(|&j| production.starts[j] != reference.starts[j]);
+    let by_order = || {
+        production
+            .order
+            .iter()
+            .zip(&reference.order)
+            .find(|(p, r)| p != r)
+            .map(|(&p, _)| p)
+    };
+    match by_time.or_else(by_order) {
+        Some(job) => Err(Mismatch {
+            alg,
+            job,
+            production: production.starts[job],
+            reference: reference.starts[job],
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Greedily removes jobs while `fails` still holds, yielding a locally
@@ -334,10 +409,11 @@ mod tests {
             nodes,
             estimate: Duration::from_secs(est),
             runtime: Duration::from_secs(run),
+            cancel: None,
         }
     }
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs(s)
+    fn t(s: f64) -> Option<SimTime> {
+        Some(SimTime::from_secs(s))
     }
 
     #[test]
@@ -349,7 +425,7 @@ mod tests {
             job(0.0, 8, 50.0, 50.0),
             job(0.0, 2, 10.0, 10.0),
         ];
-        let starts = reference_starts(Algorithm::Fcfs, 10, &jobs);
+        let starts = reference_starts(Algorithm::Fcfs, 10, &jobs).starts;
         assert_eq!(starts, vec![t(0.0), t(100.0), t(100.0)]);
     }
 
@@ -362,7 +438,7 @@ mod tests {
             job(0.0, 8, 50.0, 50.0),
             job(0.0, 2, 100.0, 100.0),
         ];
-        let starts = reference_starts(Algorithm::Easy, 10, &jobs);
+        let starts = reference_starts(Algorithm::Easy, 10, &jobs).starts;
         assert_eq!(starts[2], t(0.0));
         assert_eq!(starts[1], t(100.0));
     }
@@ -376,7 +452,7 @@ mod tests {
             job(0.0, 10, 100.0, 100.0),
             job(0.0, 5, 100.0, 100.0),
         ];
-        let starts = reference_starts(Algorithm::Easy, 10, &jobs);
+        let starts = reference_starts(Algorithm::Easy, 10, &jobs).starts;
         assert_eq!(starts[1], t(100.0));
         assert_eq!(starts[2], t(200.0));
     }
@@ -408,6 +484,28 @@ mod tests {
             for jobs in &workloads {
                 differential(alg, 10, jobs).unwrap_or_else(|m| panic!("{m}"));
             }
+        }
+    }
+
+    #[test]
+    fn cancels_and_out_of_order_arrivals_replay_alike() {
+        let cancel = |mut j: OracleJob, at: f64| {
+            j.cancel = Some(SimTime::from_secs(at));
+            j
+        };
+        // Job 1 arrives last but is listed first; job 2's cancel unblocks
+        // job 3; job 0's cancel arrives after it started and is refused.
+        let jobs = [
+            cancel(job(0.0, 10, 100.0, 100.0), 5.0),
+            job(20.0, 4, 10.0, 10.0),
+            cancel(job(1.0, 10, 50.0, 50.0), 50.0),
+            job(2.0, 10, 30.0, 30.0),
+        ];
+        for alg in [Algorithm::Fcfs, Algorithm::Easy] {
+            let schedule = reference_starts(alg, 10, &jobs);
+            assert_eq!(schedule.starts, vec![t(0.0), t(130.0), None, t(100.0)]);
+            assert_eq!(schedule.order, vec![0, 3, 1]);
+            differential(alg, 10, &jobs).unwrap_or_else(|m| panic!("{m}"));
         }
     }
 

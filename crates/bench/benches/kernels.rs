@@ -101,6 +101,85 @@ fn cbf_compression_burst(queue_depth: u64) -> usize {
     starts.len() + s.queue_len()
 }
 
+/// Mean EASY `(submit, cancel, complete)` cost in ns at a steady queue
+/// depth `depth`, in the regime the saturated grid cells live in: the
+/// head is blocked, one node is free, and no queued request fits it, so
+/// every call runs a full scheduling pass that starts nothing.
+///
+/// A 64-node machine runs a 63-node blocker and one 1-node filler. Each
+/// round completes the filler (timed), submits a 2–64-node request
+/// (timed), cancels a uniformly chosen queued request (timed) and
+/// resubmits the filler, which backfills at once. The depth therefore
+/// stays at `depth` and the running set at two jobs. Each call is timed
+/// on its own, so the timer's own cost is included at every depth.
+fn easy_ops_at_depth(depth: usize, rounds: usize) -> [f64; 3] {
+    let mut s = Algorithm::Easy.build(64);
+    let mut starts = Vec::new();
+    let mut x = 0x9e3779b97f4a7c15u64 ^ depth as u64;
+    let mut rand = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut next = 0u64;
+    let mut now = SimTime::ZERO;
+    // Submits a fresh request; returns its id and how many calls started.
+    fn push(
+        s: &mut dyn Scheduler,
+        next: &mut u64,
+        nodes: u32,
+        est: Duration,
+        now: SimTime,
+    ) -> (u64, usize) {
+        *next += 1;
+        let mut starts = Vec::new();
+        s.submit(
+            now,
+            Request::new(RequestId(*next), nodes, est, now),
+            &mut starts,
+        );
+        (*next, starts.len())
+    }
+    let filler_est = Duration::from_hours(1);
+    let blocker = push(&mut *s, &mut next, 63, Duration::from_hours(1_000_000), now);
+    assert_eq!(blocker.1, 1, "blocker starts");
+    let mut filler = push(&mut *s, &mut next, 1, filler_est, now).0;
+    let mut queued: Vec<u64> = Vec::with_capacity(depth + 1);
+    let wide = |r: u64| (2 + r % 63) as u32;
+    let est = |r: u64| Duration::from_secs(60.0 + (r >> 8) as f64 % 36_000.0);
+    for _ in 0..depth {
+        let r = rand();
+        let (id, started) = push(&mut *s, &mut next, wide(r), est(r), now);
+        assert_eq!(started, 0, "no queued request fits");
+        queued.push(id);
+    }
+    let mut ns = [0u128; 3];
+    for _ in 0..rounds {
+        now += Duration::from_secs(1.0);
+        let t = Instant::now();
+        s.complete(now, RequestId(filler), &mut starts);
+        ns[2] += t.elapsed().as_nanos();
+        let r = rand();
+        next += 1;
+        let req = Request::new(RequestId(next), wide(r), est(r), now);
+        let t = Instant::now();
+        s.submit(now, req, &mut starts);
+        ns[0] += t.elapsed().as_nanos();
+        queued.push(next);
+        let victim = queued.swap_remove(rand() as usize % queued.len());
+        let t = Instant::now();
+        let cancelled = s.cancel(now, RequestId(victim), &mut starts);
+        ns[1] += t.elapsed().as_nanos();
+        assert!(cancelled && starts.is_empty(), "steady state holds");
+        let (id, started) = push(&mut *s, &mut next, 1, filler_est, now);
+        assert_eq!(started, 1, "the filler backfills");
+        filler = id;
+    }
+    assert_eq!(s.queue_len(), depth);
+    ns.map(|n| n as f64 / rounds as f64)
+}
+
 /// Times `f` as ns per inner item: best of `reps` runs of `per_run`
 /// items each (minimum filters scheduler noise on a busy host).
 fn time_ns_per<F: FnMut() -> u64>(reps: u32, per_run: u64, mut f: F) -> f64 {
@@ -116,8 +195,8 @@ fn time_ns_per<F: FnMut() -> u64>(reps: u32, per_run: u64, mut f: F) -> f64 {
     best
 }
 
-/// Self-timed numbers for the three hot kernels, written to
-/// `BENCH_kernel.json` at the repository root.
+/// Self-timed numbers for the hot kernels and the EASY per-op cost by
+/// queue depth, written to `BENCH_kernel.json` at the repository root.
 fn record_kernels() {
     const EVENTS: u64 = 200_000;
     let heap = time_ns_per(5, EVENTS, || queue_churn(QueueKind::Heap, EVENTS));
@@ -129,12 +208,29 @@ fn record_kernels() {
     const DEPTH: u64 = 400;
     let compress = time_ns_per(5, DEPTH, || cbf_compression_burst(DEPTH) as u64);
 
+    // Best of three runs per depth, per operation.
+    let by_depth: Vec<String> = [10usize, 100, 1_000, 10_000]
+        .iter()
+        .map(|&depth| {
+            let [submit, cancel, complete] = (0..3)
+                .map(|_| easy_ops_at_depth(depth, 2_000))
+                .reduce(|a, b| [0, 1, 2].map(|i| a[i].min(b[i])))
+                .expect("three runs");
+            format!(
+                "\"{depth}\":{{\"submit\":{submit:.1},\"cancel\":{cancel:.1},\
+                 \"complete\":{complete:.1}}}"
+            )
+        })
+        .collect();
+
     let body = format!(
         "{{\"event_queue_pop_push_ns\":{{\"heap\":{heap:.1},\"calendar\":{calendar:.1},\
          \"calendar_vs_heap\":{:.3}}},\
          \"earliest_fit_fragmented_ns\":{fit:.1},\
-         \"cbf_compression_ns_per_queued\":{compress:.1}}}\n",
+         \"cbf_compression_ns_per_queued\":{compress:.1},\
+         \"easy_op_ns_by_depth\":{{{}}}}}\n",
         heap / calendar.max(1e-9),
+        by_depth.join(","),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");
     std::fs::write(path, &body).expect("write BENCH_kernel.json");

@@ -81,11 +81,14 @@ impl CbfScheduler {
     /// Starts every queued request whose reservation is due, in
     /// submission order. Always safe on a stale profile: actual capacity
     /// can only exceed the planned capacity the reservations were placed
-    /// against.
+    /// against — except at the requested end of a running job whose
+    /// completion event has not been handled yet. The profile counts its
+    /// nodes as free from that instant on, so a reservation due then
+    /// waits, still due, for the completion's pass at the same instant.
     fn start_due(&mut self, now: SimTime, starts: &mut Vec<RequestId>) {
         let mut i = 0;
         while i < self.queue.len() {
-            if self.queue[i].1 <= now {
+            if self.queue[i].1 <= now && self.core.fits_now(&self.queue[i].0) {
                 let (req, _) = self.queue.remove(i);
                 // Jumping ahead of any still-queued earlier submission is
                 // a backfill in CBF's sense.
@@ -119,7 +122,7 @@ impl CbfScheduler {
             profile.reserve(start, req.estimate, req.nodes);
             self.observer
                 .with(|s, o| o.on_reserve(s, now, req.id, start));
-            if start == now {
+            if start == now && self.core.fits_now(&req) {
                 if skipped_earlier {
                     self.backfills += 1;
                 }
@@ -199,7 +202,7 @@ impl Scheduler for CbfScheduler {
         self.profile.reserve(start, req.estimate, req.nodes);
         self.observer
             .with(|s, o| o.on_reserve(s, now, req.id, start));
-        if start == now {
+        if start == now && self.core.fits_now(&req) {
             self.core.start(now, req);
             self.observer
                 .with(|s, o| o.on_start(s, now, &req, StartKind::Reservation));
@@ -514,6 +517,25 @@ mod tests {
         s.submit(t(500.0), req(13, 10, 50.0), &mut starts);
         assert!(starts.is_empty(), "must not overlap B's tail");
         assert_eq!(s.predicted_start(t(500.0), RequestId(13)), Some(t(510.0)));
+    }
+
+    /// Regression: a submit handled at the requested end of a running
+    /// job, before that job's completion at the same instant. The
+    /// profile already counts the job's nodes as free, so the newcomer's
+    /// reservation is due now; it must wait for the completion's pass
+    /// instead of starting on nodes that are still busy.
+    #[test]
+    fn due_reservation_waits_for_same_instant_completion() {
+        let mut s = CbfScheduler::with_cycle(4, Duration::from_secs(30.0));
+        let mut starts = Vec::new();
+        s.submit(t(0.0), req(1, 4, 100.0), &mut starts);
+        starts.clear();
+        s.submit(t(100.0), req(2, 1, 10.0), &mut starts);
+        assert!(starts.is_empty(), "no free node until request 1 completes");
+        assert_eq!(s.predicted_start(t(100.0), RequestId(2)), Some(t(100.0)));
+        s.complete(t(100.0), RequestId(1), &mut starts);
+        assert_eq!(starts, vec![RequestId(2)]);
+        assert_eq!(s.queue_len(), 0);
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! canceled, or a job finishes early — the three churn sources redundant
 //! requests amplify, which is exactly why the paper studies them.
 
-use std::collections::VecDeque;
-
 use rbr_simcore::SimTime;
 
 use crate::core::ClusterCore;
 use crate::observe::{ObserverSlot, StartKind};
+use crate::queue::{FifoQueue, Fit};
 use crate::scheduler::{fifo_predicted_start, Scheduler};
 use crate::types::{Request, RequestId};
 
@@ -23,7 +22,7 @@ use crate::types::{Request, RequestId};
 #[derive(Clone, Debug)]
 pub struct EasyScheduler {
     core: ClusterCore,
-    queue: VecDeque<Request>,
+    queue: FifoQueue,
     backfills: u64,
     observer: ObserverSlot,
 }
@@ -33,68 +32,89 @@ impl EasyScheduler {
     pub fn new(nodes: u32) -> Self {
         EasyScheduler {
             core: ClusterCore::new(nodes),
-            queue: VecDeque::new(),
+            queue: FifoQueue::default(),
             backfills: 0,
             observer: ObserverSlot::empty(),
         }
     }
 
-    /// One scheduling pass: start from the head while it fits, then a
-    /// single backfilling sweep protected by the head's shadow.
     fn try_schedule(&mut self, now: SimTime, starts: &mut Vec<RequestId>) {
-        // Phase 1: strict FIFO starts.
-        while let Some(head) = self.queue.front() {
-            if !self.core.fits_now(head) {
-                break;
-            }
-            let req = self.queue.pop_front().expect("front checked above");
-            self.core.start(now, req);
-            self.observer
-                .with(|s, o| o.on_start(s, now, &req, StartKind::FifoHead));
-            starts.push(req.id);
-        }
-        if self.queue.is_empty() || self.core.free() == 0 {
-            return;
-        }
+        easy_pass(
+            &mut self.core,
+            std::slice::from_mut(&mut self.queue),
+            &mut self.backfills,
+            &self.observer,
+            now,
+            starts,
+        );
+    }
+}
 
-        // Phase 2: backfill behind the (blocked) head.
-        let head = *self.queue.front().expect("queue checked non-empty");
-        let (shadow, mut extra) = self.core.shadow(&head);
-        self.observer
-            .with(|s, o| o.on_shadow(s, now, &head, shadow, extra));
-        let mut i = 1;
-        while i < self.queue.len() {
-            if self.core.free() == 0 {
-                return;
-            }
-            let cand = self.queue[i];
-            if cand.nodes <= self.core.free() {
-                let ends_by_shadow = cand.end_if_started(now) <= shadow;
-                if ends_by_shadow || cand.nodes <= extra {
-                    if !ends_by_shadow {
-                        // The job outlives the shadow: it must fit in the
-                        // nodes the head will not need.
-                        extra -= cand.nodes;
-                    }
-                    self.queue.remove(i).expect("index in bounds");
-                    self.core.start(now, cand);
-                    self.backfills += 1;
-                    self.observer
-                        .with(|s, o| o.on_start(s, now, &cand, StartKind::Backfill));
-                    starts.push(cand.id);
-                    continue; // i now points at the next candidate
-                }
-            }
-            i += 1;
+/// One EASY scheduling pass over `queues` in rank order (every request of
+/// a queue outranks those of later queues; FIFO within a queue): start
+/// the ranked head while it fits, then a single backfilling sweep
+/// protected by the blocked head's shadow. Shared by [`EasyScheduler`]
+/// (one queue) and [`crate::MultiQueueScheduler`].
+///
+/// The sweep jumps from one admissible candidate to the next with
+/// [`FifoQueue::next_fit`] instead of testing every queued request. It
+/// starts exactly what a request-by-request sweep would, in the same
+/// order: within the pass the shadow is fixed while the free nodes and
+/// the `extra` budget only shrink, so a skipped candidate could never
+/// have started later in the sweep either.
+pub(crate) fn easy_pass(
+    core: &mut ClusterCore,
+    queues: &mut [FifoQueue],
+    backfills: &mut u64,
+    observer: &ObserverSlot,
+    now: SimTime,
+    starts: &mut Vec<RequestId>,
+) {
+    // Phase 1: strict rank-order starts.
+    let head_queue = loop {
+        let Some(q) = queues.iter().position(|q| !q.is_empty()) else {
+            return;
+        };
+        let head = *queues[q].front().expect("queue checked non-empty");
+        if !core.fits_now(&head) {
+            break q;
         }
+        queues[q].pop_front();
+        core.start(now, head);
+        observer.with(|s, o| o.on_start(s, now, &head, StartKind::FifoHead));
+        starts.push(head.id);
+    };
+    if core.free() == 0 {
+        return;
     }
 
-    fn remove_queued(&mut self, id: RequestId) -> bool {
-        if let Some(pos) = self.queue.iter().position(|r| r.id == id) {
-            self.queue.remove(pos);
-            true
-        } else {
-            false
+    // Phase 2: backfill behind the (blocked) head.
+    let head = *queues[head_queue].front().expect("head exists");
+    let (shadow, mut extra) = core.shadow(&head);
+    observer.with(|s, o| o.on_shadow(s, now, &head, shadow, extra));
+    for (q, queue) in queues.iter_mut().enumerate().skip(head_queue) {
+        let mut from = queue.front_slot() + usize::from(q == head_queue);
+        loop {
+            let fit = Fit {
+                now,
+                free: core.free(),
+                shadow,
+                extra,
+            };
+            let Some(slot) = queue.next_fit(from, &fit) else {
+                break;
+            };
+            let cand = queue.take(slot);
+            if cand.end_if_started(now) > shadow {
+                // The job outlives the shadow: it must fit in the nodes
+                // the head will not need.
+                extra -= cand.nodes;
+            }
+            core.start(now, cand);
+            *backfills += 1;
+            observer.with(|s, o| o.on_start(s, now, &cand, StartKind::Backfill));
+            starts.push(cand.id);
+            from = slot + 1;
         }
     }
 }
@@ -134,7 +154,7 @@ impl Scheduler for EasyScheduler {
     }
 
     fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
-        let removed = self.remove_queued(id);
+        let removed = self.queue.remove(id).is_some();
         if removed {
             self.observer.with(|s, o| o.on_cancel(s, now, id));
             self.try_schedule(now, starts);
@@ -168,7 +188,7 @@ impl Scheduler for EasyScheduler {
     }
 
     fn is_queued(&self, id: RequestId) -> bool {
-        self.queue.iter().any(|r| r.id == id)
+        self.queue.contains(id)
     }
 
     fn is_running(&self, id: RequestId) -> bool {

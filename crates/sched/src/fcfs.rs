@@ -4,12 +4,11 @@
 //! nodes idle that later narrow jobs could have used. The paper uses it as
 //! the baseline comparator in Table 1.
 
-use std::collections::VecDeque;
-
 use rbr_simcore::SimTime;
 
 use crate::core::ClusterCore;
 use crate::observe::{ObserverSlot, StartKind};
+use crate::queue::FifoQueue;
 use crate::scheduler::{fifo_predicted_start, Scheduler};
 use crate::types::{Request, RequestId};
 
@@ -17,7 +16,7 @@ use crate::types::{Request, RequestId};
 #[derive(Clone, Debug)]
 pub struct FcfsScheduler {
     core: ClusterCore,
-    queue: VecDeque<Request>,
+    queue: FifoQueue,
     observer: ObserverSlot,
 }
 
@@ -26,7 +25,7 @@ impl FcfsScheduler {
     pub fn new(nodes: u32) -> Self {
         FcfsScheduler {
             core: ClusterCore::new(nodes),
-            queue: VecDeque::new(),
+            queue: FifoQueue::default(),
             observer: ObserverSlot::empty(),
         }
     }
@@ -42,15 +41,6 @@ impl FcfsScheduler {
             self.observer
                 .with(|s, o| o.on_start(s, now, &req, StartKind::FifoHead));
             starts.push(req.id);
-        }
-    }
-
-    fn remove_queued(&mut self, id: RequestId) -> bool {
-        if let Some(pos) = self.queue.iter().position(|r| r.id == id) {
-            self.queue.remove(pos);
-            true
-        } else {
-            false
         }
     }
 }
@@ -90,7 +80,7 @@ impl Scheduler for FcfsScheduler {
     }
 
     fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
-        let removed = self.remove_queued(id);
+        let removed = self.queue.remove(id).is_some();
         if removed {
             self.observer.with(|s, o| o.on_cancel(s, now, id));
             // Removing the head may unblock successors.
@@ -121,7 +111,7 @@ impl Scheduler for FcfsScheduler {
     }
 
     fn is_queued(&self, id: RequestId) -> bool {
-        self.queue.iter().any(|r| r.id == id)
+        self.queue.contains(id)
     }
 
     fn is_running(&self, id: RequestId) -> bool {

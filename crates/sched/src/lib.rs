@@ -35,6 +35,7 @@ pub mod fcfs;
 pub mod multi_queue;
 pub mod observe;
 pub mod profile;
+mod queue;
 pub mod scheduler;
 pub mod types;
 

@@ -12,12 +12,12 @@
 //! the losers when one starts — driven by `rbr-grid`'s multi-queue
 //! experiment.
 
-use std::collections::VecDeque;
-
 use rbr_simcore::SimTime;
 
 use crate::core::ClusterCore;
-use crate::observe::{ObserverSlot, StartKind};
+use crate::easy::easy_pass;
+use crate::observe::ObserverSlot;
+use crate::queue::FifoQueue;
 use crate::types::{Request, RequestId};
 
 /// Identifier of a queue within the scheduler; lower values are served
@@ -28,7 +28,7 @@ pub type QueueId = usize;
 #[derive(Clone, Debug)]
 pub struct MultiQueueScheduler {
     core: ClusterCore,
-    queues: Vec<VecDeque<Request>>,
+    queues: Vec<FifoQueue>,
     backfills: u64,
     observer: ObserverSlot,
 }
@@ -43,7 +43,7 @@ impl MultiQueueScheduler {
         assert!(n_queues >= 1, "need at least one queue");
         MultiQueueScheduler {
             core: ClusterCore::new(nodes),
-            queues: vec![VecDeque::new(); n_queues],
+            queues: vec![FifoQueue::default(); n_queues],
             backfills: 0,
             observer: ObserverSlot::empty(),
         }
@@ -86,12 +86,12 @@ impl MultiQueueScheduler {
 
     /// Total queued requests across queues.
     pub fn total_queued(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queues.iter().map(FifoQueue::len).sum()
     }
 
     /// Whether the request is queued (in any queue).
     pub fn is_queued(&self, id: RequestId) -> bool {
-        self.queues.iter().any(|q| q.iter().any(|r| r.id == id))
+        self.queues.iter().any(|q| q.contains(id))
     }
 
     /// Whether the request is running.
@@ -127,15 +127,12 @@ impl MultiQueueScheduler {
     /// Cancels a queued request (searched across all queues). Returns
     /// whether it was found and removed.
     pub fn cancel(&mut self, now: SimTime, id: RequestId, starts: &mut Vec<RequestId>) -> bool {
-        for q in &mut self.queues {
-            if let Some(pos) = q.iter().position(|r| r.id == id) {
-                q.remove(pos);
-                self.observer.with(|s, o| o.on_cancel(s, now, id));
-                self.try_schedule(now, starts);
-                return true;
-            }
+        if !self.queues.iter_mut().any(|q| q.remove(id).is_some()) {
+            return false;
         }
-        false
+        self.observer.with(|s, o| o.on_cancel(s, now, id));
+        self.try_schedule(now, starts);
+        true
     }
 
     /// Reports the completion of a running request.
@@ -157,64 +154,14 @@ impl MultiQueueScheduler {
     /// The EASY pass over the priority-then-FIFO global order: start the
     /// ranked head while it fits, then backfill under its shadow.
     fn try_schedule(&mut self, now: SimTime, starts: &mut Vec<RequestId>) {
-        // Phase 1: strict priority-order starts.
-        loop {
-            let Some((queue, _)) = self.ranked_head() else {
-                return;
-            };
-            let head = *self.queues[queue].front().expect("head exists");
-            if !self.core.fits_now(&head) {
-                break;
-            }
-            self.queues[queue].pop_front();
-            self.core.start(now, head);
-            self.observer
-                .with(|s, o| o.on_start(s, now, &head, StartKind::FifoHead));
-            starts.push(head.id);
-        }
-        if self.core.free() == 0 {
-            return;
-        }
-
-        // Phase 2: backfill behind the blocked global head.
-        let (head_queue, _) = self.ranked_head().expect("head checked above");
-        let head = *self.queues[head_queue].front().expect("head exists");
-        let (shadow, mut extra) = self.core.shadow(&head);
-        self.observer
-            .with(|s, o| o.on_shadow(s, now, &head, shadow, extra));
-        for queue in 0..self.queues.len() {
-            let mut i = if queue == head_queue { 1 } else { 0 };
-            while i < self.queues[queue].len() {
-                if self.core.free() == 0 {
-                    return;
-                }
-                let cand = self.queues[queue][i];
-                if cand.nodes <= self.core.free() {
-                    let ends_by_shadow = cand.end_if_started(now) <= shadow;
-                    if ends_by_shadow || cand.nodes <= extra {
-                        if !ends_by_shadow {
-                            extra -= cand.nodes;
-                        }
-                        self.queues[queue].remove(i).expect("index in bounds");
-                        self.core.start(now, cand);
-                        self.backfills += 1;
-                        self.observer
-                            .with(|s, o| o.on_start(s, now, &cand, StartKind::Backfill));
-                        starts.push(cand.id);
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
-    /// The queue holding the globally highest-ranked request, if any.
-    fn ranked_head(&self) -> Option<(QueueId, RequestId)> {
-        self.queues
-            .iter()
-            .enumerate()
-            .find_map(|(q, queue)| queue.front().map(|r| (q, r.id)))
+        easy_pass(
+            &mut self.core,
+            &mut self.queues,
+            &mut self.backfills,
+            &self.observer,
+            now,
+            starts,
+        );
     }
 }
 

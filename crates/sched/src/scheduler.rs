@@ -34,6 +34,12 @@ pub trait Scheduler {
     fn running_len(&self) -> usize;
 
     /// Submits a request at instant `now`.
+    ///
+    /// Ids must rise in submission order: `req.id` must exceed the id of
+    /// every request still queued here (debug builds check it). The grid
+    /// driver hands out ids in submission order, so this always holds
+    /// there, and the FCFS and EASY queues rely on it to find a request
+    /// by binary search instead of a scan.
     fn submit(&mut self, now: SimTime, req: Request, starts: &mut Vec<RequestId>);
 
     /// Cancels a *queued* request. Returns `true` if the request was
