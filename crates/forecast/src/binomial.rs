@@ -11,12 +11,28 @@
 use std::collections::VecDeque;
 
 /// Sliding-window binomial quantile-bound predictor.
+///
+/// Beside the FIFO window it keeps the same observations in sorted
+/// order, and it caches the order-statistic index for the current window
+/// length, so [`predict`](Self::predict) is a single index and
+/// [`observe`](Self::observe) costs two binary searches and two shifts
+/// of at most `capacity` values. Equal observations (`0.0` and `-0.0`
+/// included) sit in the sorted copy in arrival order: a new one goes
+/// after its equals and the evicted one, the oldest in the window, is
+/// the first of its equals. That is exactly the order a stable sort of
+/// the FIFO window produces, so every bound is bit-identical to sorting
+/// the window afresh.
 #[derive(Clone, Debug)]
 pub struct QuantilePredictor {
     quantile: f64,
     confidence: f64,
     capacity: usize,
     history: VecDeque<f64>,
+    /// `history`, stably sorted ascending.
+    sorted: Vec<f64>,
+    /// The 1-based order statistic that bounds the quantile at the
+    /// current window length, or `None` while no bound exists.
+    k: Option<usize>,
 }
 
 impl QuantilePredictor {
@@ -41,7 +57,9 @@ impl QuantilePredictor {
             quantile,
             confidence,
             capacity,
-            history: VecDeque::new(),
+            history: VecDeque::with_capacity(capacity),
+            sorted: Vec::with_capacity(capacity),
+            k: None,
         }
     }
 
@@ -61,9 +79,21 @@ impl QuantilePredictor {
             "waits must be finite and non-negative, got {wait_secs}"
         );
         if self.history.len() == self.capacity {
-            self.history.pop_front();
+            let evicted = self.history.pop_front().expect("window is full");
+            let at = self.sorted.partition_point(|&x| x < evicted);
+            self.sorted.remove(at);
+        } else {
+            // The window grows: the bounding order statistic moves.
+            let n = self.history.len() + 1;
+            self.k = if n < self.min_observations() {
+                None
+            } else {
+                smallest_k(n, self.quantile, self.confidence)
+            };
         }
         self.history.push_back(wait_secs);
+        let at = self.sorted.partition_point(|&x| x <= wait_secs);
+        self.sorted.insert(at, wait_secs);
     }
 
     /// Number of observations currently in the window.
@@ -88,14 +118,7 @@ impl QuantilePredictor {
     /// or `None` if the window is still too small for the requested
     /// confidence.
     pub fn predict(&self) -> Option<f64> {
-        let n = self.history.len();
-        if n < self.min_observations() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.history.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations are finite"));
-        let k = smallest_k(n, self.quantile, self.confidence)?;
-        Some(sorted[k - 1])
+        self.k.map(|k| self.sorted[k - 1])
     }
 }
 
@@ -201,6 +224,79 @@ mod tests {
         }
         let rate = covered as f64 / trials as f64;
         assert!(rate >= 0.85, "coverage {rate} below confidence");
+    }
+
+    /// The predictor as first written, kept as the reference: copy the
+    /// window, stable-sort it, index the bounding order statistic.
+    fn sorted_reference(window: &[f64], quantile: f64, confidence: f64) -> Option<f64> {
+        let n = window.len();
+        let min = ((1.0 - confidence).ln() / quantile.ln()).ceil() as usize;
+        if n < min {
+            return None;
+        }
+        let mut sorted = window.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations are finite"));
+        let k = smallest_k(n, quantile, confidence)?;
+        Some(sorted[k - 1])
+    }
+
+    #[test]
+    fn incremental_window_matches_a_fresh_sort_bit_for_bit() {
+        use rand::{RngExt, SeedableRng};
+        // Most draws come from a small pool, so ties are the rule, and
+        // both zeros are in it: a bound that lands on a zero shows by its
+        // sign whether equal waits kept their arrival order. Zeros are
+        // over 40% of draws, so the 0.3-quantile bounds land on them.
+        const POOL: [f64; 8] = [0.0, -0.0, 0.0, -0.0, 0.5, 1.0, 1.0, 7.25];
+        // (quantile, confidence, capacity): capacities 1 and 2 bound
+        // from the first or second wait; the others grow through
+        // `min_observations` (59 for the default, 2 for 0.3/0.9) before
+        // sliding past capacity.
+        let configs = [
+            (0.5, 0.5, 1),
+            (0.5, 0.7, 2),
+            (0.3, 0.9, 37),
+            (0.3, 0.9, 512),
+            (0.95, 0.95, 512),
+        ];
+        let (mut pos_zero, mut neg_zero) = (0, 0);
+        for (seed, &(q, c, cap)) in configs.iter().enumerate() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed as u64);
+            let mut p = QuantilePredictor::new(q, c, cap);
+            let mut window = VecDeque::new();
+            for step in 0..3 * cap + 300 {
+                let wait = if rng.random_bool(0.85) {
+                    POOL[rng.random_range(0..POOL.len())]
+                } else {
+                    rng.random_range(0.0..10.0)
+                };
+                p.observe(wait);
+                if window.len() == cap {
+                    window.pop_front();
+                }
+                window.push_back(wait);
+                let want = sorted_reference(window.make_contiguous(), q, c);
+                let got = p.predict();
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "q={q} c={c} cap={cap} step {step}: {got:?} vs {want:?}"
+                );
+                // Count zeros only once evictions have begun: the order
+                // an eviction leaves behind is what needs checking.
+                match got {
+                    _ if window.len() < cap => {}
+                    Some(b) if b.to_bits() == 0.0f64.to_bits() => pos_zero += 1,
+                    Some(b) if b.to_bits() == (-0.0f64).to_bits() => neg_zero += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            pos_zero > 0 && neg_zero > 0,
+            "the sliding windows never put a zero of each sign on the \
+             bound ({pos_zero} +0, {neg_zero} -0)"
+        );
     }
 
     #[test]

@@ -18,13 +18,14 @@ use rbr_faults::BatchSpec;
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::batcher::{Batcher, OpKind, PendingOp, Transaction};
 use crate::clock::{Clock, ClockMode};
-use crate::wire::{encode_frame, FrameReader, Request, Response, Verdict};
+use crate::wire::{FrameReader, Request, Response, Verdict};
 
 /// A connection stops being read while its write buffer holds more than
 /// this many bytes: the client must drain acks before sending more work.
 const BACKPRESSURE_BYTES: usize = 256 * 1024;
 
-/// Poll-loop sleep when nothing is readable.
+/// Longest the poll loop waits for socket readiness. It bounds how late
+/// a wall-clock deadline flush can fire.
 const IDLE_SLEEP: StdDuration = StdDuration::from_millis(1);
 
 /// Service configuration.
@@ -105,28 +106,49 @@ impl ObsHandles {
 struct Conn {
     stream: TcpStream,
     reader: FrameReader,
+    /// Outgoing bytes; those before `wpos` are already written.
     wbuf: Vec<u8>,
+    wpos: usize,
     open: bool,
 }
 
 impl Conn {
-    fn throttled(&self) -> bool {
-        self.wbuf.len() > BACKPRESSURE_BYTES
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            reader: FrameReader::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            open: true,
+        }
     }
 
-    fn queue(&mut self, resp: &Response) {
-        self.wbuf.extend_from_slice(&encode_frame(&resp.to_json()));
+    /// Bytes queued but not yet written.
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    fn throttled(&self) -> bool {
+        self.unsent() > BACKPRESSURE_BYTES
+    }
+
+    /// Queues one response; true if it pushed the connection over the
+    /// backpressure bound.
+    fn queue(&mut self, resp: &Response) -> bool {
+        let was_throttled = self.throttled();
+        resp.write_frame(&mut self.wbuf);
+        !was_throttled && self.throttled()
     }
 
     /// Writes as much of the buffer as the socket will take.
     fn pump(&mut self) {
-        while !self.wbuf.is_empty() && self.open {
-            match self.stream.write(&self.wbuf) {
+        while self.wpos < self.wbuf.len() && self.open {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
                     self.open = false;
                 }
                 Ok(n) => {
-                    self.wbuf.drain(..n);
+                    self.wpos += n;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -135,7 +157,80 @@ impl Conn {
                 }
             }
         }
+        // Drop the written prefix once it is at least half the buffer,
+        // so each byte is moved at most once on average.
+        if self.wpos * 2 >= self.wbuf.len() {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
     }
+}
+
+/// Blocks until the listener has a connection to accept, a connection
+/// that may be read has bytes (or EOF), or a connection with unsent
+/// bytes can take more; or until [`IDLE_SLEEP`] passes. While draining
+/// (`listener` is `None`) only the unsent bytes count.
+#[cfg(target_os = "linux")]
+fn wait_ready(listener: Option<&TcpListener>, conns: &[Conn], fds: &mut Vec<PollFd>) {
+    use std::os::fd::AsRawFd;
+
+    const POLLIN: std::ffi::c_short = 0x1;
+    const POLLOUT: std::ffi::c_short = 0x4;
+    extern "C" {
+        fn poll(
+            fds: *mut PollFd,
+            nfds: std::ffi::c_ulong,
+            timeout: std::ffi::c_int,
+        ) -> std::ffi::c_int;
+    }
+    fds.clear();
+    if let Some(listener) = listener {
+        fds.push(PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+    }
+    for conn in conns.iter().filter(|c| c.open) {
+        let mut events = 0;
+        if listener.is_some() && !conn.throttled() {
+            events |= POLLIN;
+        }
+        if conn.unsent() > 0 {
+            events |= POLLOUT;
+        }
+        if events != 0 {
+            fds.push(PollFd {
+                fd: conn.stream.as_raw_fd(),
+                events,
+                revents: 0,
+            });
+        }
+    }
+    let timeout = std::ffi::c_int::try_from(IDLE_SLEEP.as_millis()).unwrap_or(1);
+    // SAFETY: `fds` holds `fds.len()` initialised entries laid out as
+    // Linux's `struct pollfd`, and stays borrowed for the whole call;
+    // every fd is owned by a live listener or stream.
+    let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout) };
+    if r < 0 && std::io::Error::last_os_error().kind() != ErrorKind::Interrupted {
+        // A failing poll must not turn the loop into a busy spin.
+        std::thread::sleep(IDLE_SLEEP);
+    }
+}
+
+/// Without `poll(2)` the loop falls back to sleeping [`IDLE_SLEEP`].
+#[cfg(not(target_os = "linux"))]
+fn wait_ready(_: Option<&TcpListener>, _: &[Conn], _: &mut Vec<PollFd>) {
+    std::thread::sleep(IDLE_SLEEP);
+}
+
+/// Linux's `struct pollfd`.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+#[repr(C)]
+struct PollFd {
+    fd: std::ffi::c_int,
+    events: std::ffi::c_short,
+    revents: std::ffi::c_short,
 }
 
 /// Runs the service on an already-bound listener until a client sends
@@ -157,6 +252,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
     let mut acks_owed: Vec<(usize, u64)> = Vec::new();
     let mut drain_requested_by: Option<usize> = None;
     let mut rbuf = [0u8; 16 * 1024];
+    let mut fds = Vec::new();
 
     loop {
         // Accept anything pending.
@@ -166,12 +262,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                     stream
                         .set_nonblocking(true)
                         .map_err(|e| format!("accept: {e}"))?;
-                    conns.push(Conn {
-                        stream,
-                        reader: FrameReader::new(),
-                        wbuf: Vec::new(),
-                        open: true,
-                    });
+                    conns.push(Conn::new(stream));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) => return Err(format!("accept: {e}")),
@@ -194,10 +285,10 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
                     loop {
                         let frame = conns[ci]
                             .reader
-                            .next_frame()
+                            .next_payload()
                             .map_err(|e| format!("connection {ci}: {e}"))?;
                         let Some(payload) = frame else { break };
-                        let req = Request::from_json(&payload)
+                        let req = Request::from_json(payload)
                             .map_err(|e| format!("connection {ci}: {e}"))?;
                         handle_request(
                             ci,
@@ -252,15 +343,15 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
             if let Some(conn) = conns.get_mut(ci) {
                 conn.queue(&drained);
             }
-            for conn in &mut conns {
-                while !conn.wbuf.is_empty() && conn.open {
-                    conn.pump();
-                    if !conn.wbuf.is_empty() {
-                        std::thread::sleep(IDLE_SLEEP);
+            for ci in 0..conns.len() {
+                while conns[ci].unsent() > 0 && conns[ci].open {
+                    conns[ci].pump();
+                    if conns[ci].unsent() > 0 {
+                        wait_ready(None, &conns[ci..=ci], &mut fds);
                     }
                 }
             }
-            let lost: usize = conns.iter().map(|c| c.wbuf.len()).sum();
+            let lost: usize = conns.iter().map(Conn::unsent).sum();
             if let Some(report) = leak_report(&acks_owed, lost) {
                 obs.drain_leaks.add(acks_owed.len() as u64);
                 return Err(report);
@@ -269,7 +360,7 @@ pub fn serve(listener: TcpListener, config: &ServerConfig) -> Result<ServerStats
         }
 
         if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
+            wait_ready(Some(&listener), &conns, &mut fds);
         }
     }
 }
@@ -310,12 +401,15 @@ fn handle_request(
                 stats.acks += 1;
                 obs.shed.inc();
                 obs.acks.inc();
-                conns[ci].queue(&Response::Ack {
+                let crossed = conns[ci].queue(&Response::Ack {
                     id,
                     redundancy: 0,
                     verdict: Verdict::Shed,
                     txn: 0,
                 });
+                if crossed {
+                    obs.throttles.inc();
+                }
                 return;
             }
             acks_owed.push((ci, id));
@@ -431,12 +525,8 @@ fn deliver(
             acks_owed.remove(pos);
         }
         if let Some(conn) = conns.get_mut(op.conn) {
-            if conn.open {
-                let was_throttled = conn.throttled();
-                conn.queue(&resp);
-                if !was_throttled && conn.throttled() {
-                    obs.throttles.inc();
-                }
+            if conn.open && conn.queue(&resp) {
+                obs.throttles.inc();
             }
         }
     }
@@ -445,6 +535,7 @@ fn deliver(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
     use std::net::TcpStream as ClientStream;
 
     fn start(

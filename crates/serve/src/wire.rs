@@ -7,6 +7,8 @@
 //! frame boundaries; the newline keeps captures greppable and makes a
 //! torn frame detectable.
 
+use std::io::Write as _;
+
 use crate::json::Json;
 
 /// Upper bound on a single frame payload; anything larger is a protocol
@@ -172,40 +174,64 @@ impl Request {
 impl Response {
     /// Renders as a JSON document (no framing).
     pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("responses render as ASCII")
+    }
+
+    /// Appends this response as one `<len>:<json>\n` frame, the bytes
+    /// of `encode_frame(&self.to_json())`, without building a string.
+    pub fn write_frame(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        self.write_json(out);
+        let len = out.len() - start;
+        // The length is known only once the payload is written: append
+        // the prefix, then rotate it in front of the payload.
+        let _ = write!(out, "{len}:");
+        let prefix = out.len() - start - len;
+        out[start..].rotate_right(prefix);
+        out.push(b'\n');
+    }
+
+    /// Writes the JSON document straight into `out`. The bytes are those
+    /// [`Json::render`] gives for the same object: keys in sorted order,
+    /// numbers in `f64` display form, strings needing no escapes.
+    fn write_json(&self, out: &mut Vec<u8>) {
+        let num = |out: &mut Vec<u8>, key: &str, x: f64| {
+            let _ = write!(out, "\"{key}\":{x},");
+        };
+        out.push(b'{');
         match self {
             Response::Ack {
                 id,
                 redundancy,
                 verdict,
                 txn,
-            } => Json::obj(vec![
-                ("type", Json::Str("ack".to_string())),
-                ("id", Json::Num(*id as f64)),
-                ("redundancy", Json::Num(f64::from(*redundancy))),
-                ("verdict", Json::Str(verdict.as_str().to_string())),
-                ("txn", Json::Num(*txn as f64)),
-            ])
-            .render(),
-            Response::CancelAck { id, txn } => Json::obj(vec![
-                ("type", Json::Str("cancel-ack".to_string())),
-                ("id", Json::Num(*id as f64)),
-                ("txn", Json::Num(*txn as f64)),
-            ])
-            .render(),
+            } => {
+                num(out, "id", *id as f64);
+                num(out, "redundancy", f64::from(*redundancy));
+                num(out, "txn", *txn as f64);
+                let _ = write!(out, "\"type\":\"ack\",\"verdict\":\"{}\"", verdict.as_str());
+            }
+            Response::CancelAck { id, txn } => {
+                num(out, "id", *id as f64);
+                num(out, "txn", *txn as f64);
+                out.extend_from_slice(b"\"type\":\"cancel-ack\"");
+            }
             Response::Drained {
                 submits,
                 acks,
                 transactions,
                 shed,
-            } => Json::obj(vec![
-                ("type", Json::Str("drained".to_string())),
-                ("submits", Json::Num(*submits as f64)),
-                ("acks", Json::Num(*acks as f64)),
-                ("transactions", Json::Num(*transactions as f64)),
-                ("shed", Json::Num(*shed as f64)),
-            ])
-            .render(),
+            } => {
+                num(out, "acks", *acks as f64);
+                num(out, "shed", *shed as f64);
+                num(out, "submits", *submits as f64);
+                num(out, "transactions", *transactions as f64);
+                out.extend_from_slice(b"\"type\":\"drained\"");
+            }
         }
+        out.push(b'}');
     }
 
     /// Parses a JSON document into a response.
@@ -257,9 +283,15 @@ pub fn encode_frame(json: &str) -> Vec<u8> {
 }
 
 /// Incremental frame decoder over a byte stream.
+///
+/// Frames are consumed by advancing a start offset; the consumed prefix
+/// is dropped once per [`extend`](Self::extend), so taking `m` frames
+/// out of one read moves the leftover bytes once, not `m` times.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Offset of the first byte not yet framed.
+    start: usize,
 }
 
 impl FrameReader {
@@ -270,28 +302,37 @@ impl FrameReader {
 
     /// Appends raw bytes read from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet framed (non-zero after EOF = torn
     /// frame).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Extracts the next complete frame's JSON payload, or `None` if
     /// more bytes are needed. A malformed prefix is a hard error.
     pub fn next_frame(&mut self) -> Result<Option<String>, String> {
-        let colon = match self.buf.iter().position(|&b| b == b':') {
+        Ok(self.next_payload()?.map(str::to_string))
+    }
+
+    /// [`next_frame`](Self::next_frame) without copying: the payload is
+    /// borrowed from the reader's buffer until the next call.
+    pub fn next_payload(&mut self) -> Result<Option<&str>, String> {
+        let rest = &self.buf[self.start..];
+        let colon = match rest.iter().position(|&b| b == b':') {
             Some(i) => i,
             None => {
-                if self.buf.len() > 20 {
+                if rest.len() > 20 {
                     return Err("frame prefix too long".to_string());
                 }
                 return Ok(None);
             }
         };
-        let prefix = std::str::from_utf8(&self.buf[..colon]).map_err(|e| e.to_string())?;
+        let prefix = std::str::from_utf8(&rest[..colon]).map_err(|e| e.to_string())?;
         let len: usize = prefix
             .parse()
             .map_err(|e| format!("bad frame length {prefix:?}: {e}"))?;
@@ -299,16 +340,15 @@ impl FrameReader {
             return Err(format!("frame of {len} bytes exceeds {MAX_FRAME}"));
         }
         let total = colon + 1 + len + 1; // prefix, ':', payload, '\n'
-        if self.buf.len() < total {
+        if rest.len() < total {
             return Ok(None);
         }
-        if self.buf[total - 1] != b'\n' {
+        if rest[total - 1] != b'\n' {
             return Err("frame missing trailing newline".to_string());
         }
-        let payload = std::str::from_utf8(&self.buf[colon + 1..total - 1])
-            .map_err(|e| e.to_string())?
-            .to_string();
-        self.buf.drain(..total);
+        let payload = &self.buf[self.start + colon + 1..self.start + total - 1];
+        let payload = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+        self.start += total;
         Ok(Some(payload))
     }
 }
@@ -389,6 +429,125 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(Request::from_json(&frames[0]).unwrap(), Request::Drain);
         assert_eq!(reader.buffered(), 0);
+    }
+
+    /// Frames of every request kind and of several payload lengths.
+    fn sample_stream() -> (Vec<u8>, Vec<String>) {
+        let mut payloads = vec![Request::Drain.to_json()];
+        for id in [0, 7, 12_345, u64::from(u32::MAX)] {
+            payloads.push(
+                Request::Submit {
+                    id,
+                    arrival_secs: id as f64 * 0.37,
+                    nodes: 1 + (id % 64) as u32,
+                    runtime_secs: 3_600.5,
+                }
+                .to_json(),
+            );
+            payloads.push(
+                Request::Cancel {
+                    id,
+                    arrival_secs: 1e6 + id as f64,
+                }
+                .to_json(),
+            );
+        }
+        let bytes = payloads.iter().flat_map(|p| encode_frame(p)).collect();
+        (bytes, payloads)
+    }
+
+    fn drain_frames(reader: &mut FrameReader, out: &mut Vec<String>) {
+        while let Some(f) = reader.next_frame().unwrap() {
+            out.push(f);
+        }
+    }
+
+    #[test]
+    fn a_split_at_any_byte_yields_the_whole_frame_payloads() {
+        let (stream, payloads) = sample_stream();
+        let mut whole = Vec::new();
+        let mut reader = FrameReader::new();
+        reader.extend(&stream);
+        drain_frames(&mut reader, &mut whole);
+        assert_eq!(whole, payloads);
+        for cut in 0..=stream.len() {
+            let mut reader = FrameReader::new();
+            let mut frames = Vec::new();
+            for part in [&stream[..cut], &stream[cut..]] {
+                reader.extend(part);
+                drain_frames(&mut reader, &mut frames);
+            }
+            assert_eq!(frames, whole, "split at byte {cut}");
+            assert_eq!(reader.buffered(), 0);
+        }
+    }
+
+    /// The responses as first rendered: a `Json` object tree.
+    fn tree_json(resp: &Response) -> String {
+        match resp {
+            Response::Ack {
+                id,
+                redundancy,
+                verdict,
+                txn,
+            } => Json::obj(vec![
+                ("type", Json::Str("ack".to_string())),
+                ("id", Json::Num(*id as f64)),
+                ("redundancy", Json::Num(f64::from(*redundancy))),
+                ("verdict", Json::Str(verdict.as_str().to_string())),
+                ("txn", Json::Num(*txn as f64)),
+            ]),
+            Response::CancelAck { id, txn } => Json::obj(vec![
+                ("type", Json::Str("cancel-ack".to_string())),
+                ("id", Json::Num(*id as f64)),
+                ("txn", Json::Num(*txn as f64)),
+            ]),
+            Response::Drained {
+                submits,
+                acks,
+                transactions,
+                shed,
+            } => Json::obj(vec![
+                ("type", Json::Str("drained".to_string())),
+                ("submits", Json::Num(*submits as f64)),
+                ("acks", Json::Num(*acks as f64)),
+                ("transactions", Json::Num(*transactions as f64)),
+                ("shed", Json::Num(*shed as f64)),
+            ]),
+        }
+        .render()
+    }
+
+    #[test]
+    fn direct_response_encoding_matches_the_json_tree() {
+        // Ids past 2^53 round through f64 on both paths.
+        let ids = [0, 1, 9, 10, 99_999, 1 << 53, (1 << 53) + 1, u64::MAX];
+        let mut out = Vec::new();
+        let mut want = Vec::new();
+        for &id in &ids {
+            for verdict in [Verdict::Redundant, Verdict::Single, Verdict::Shed] {
+                for resp in [
+                    Response::Ack {
+                        id,
+                        redundancy: (id % 7) as u32,
+                        verdict,
+                        txn: id / 3,
+                    },
+                    Response::CancelAck { id, txn: id ^ 5 },
+                    Response::Drained {
+                        submits: id,
+                        acks: id / 2,
+                        transactions: id / 8,
+                        shed: id % 1_000,
+                    },
+                ] {
+                    assert_eq!(resp.to_json(), tree_json(&resp));
+                    resp.write_frame(&mut out);
+                    want.extend(encode_frame(&tree_json(&resp)));
+                }
+            }
+        }
+        assert_eq!(out, want, "frames are appended back to back");
     }
 
     #[test]

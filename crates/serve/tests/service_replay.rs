@@ -1,7 +1,8 @@
 //! The service acceptance gate: a 10k-job Lublin replay at roughly 2×
 //! the admission budget, run twice with the same seed, must produce
 //! bit-identical admission decisions and drain without losing a single
-//! ack.
+//! ack, and those decisions must hash to a pinned digest, so a change to
+//! the wire, admission or batching code cannot alter them unnoticed.
 
 use std::net::TcpListener;
 
@@ -13,6 +14,18 @@ const JOBS: usize = 10_000;
 /// admission budget is ~1.58 copies/s, so a 16× replay offers ~2× the
 /// budget — deep enough into overload to exercise the rate limiter.
 const RATE: f64 = 16.0;
+
+/// FNV-1a (64-bit) of the seed-2006 admission log as `rbr serve --log`
+/// writes it (lines joined by `\n`, plus a final `\n`). Run-to-run
+/// determinism alone cannot catch a change that alters every run the
+/// same way; this digest pins the bytes themselves.
+const SEED_2006_LOG_FNV1A: u64 = 0x5ac3_3a8a_ca6c_cef7;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn one_run(seed: u64) -> (ServerStats, loadgen::LoadgenStats) {
     let config = ServerConfig {
@@ -50,6 +63,14 @@ fn ten_thousand_jobs_replay_deterministically_and_drain_clean() {
     assert_eq!(
         first.admission_log, second.admission_log,
         "same seed must reproduce every admission decision byte-for-byte"
+    );
+
+    let log = first.admission_log.join("\n") + "\n";
+    assert_eq!(
+        fnv1a64(log.as_bytes()),
+        SEED_2006_LOG_FNV1A,
+        "the seed-2006 admission log changed: digest {:#018x}",
+        fnv1a64(log.as_bytes())
     );
 
     // No lost acks: every submit acked, client and server agree.
