@@ -2,15 +2,12 @@
 //! virtual-clock service up on an ephemeral port, replays the Lublin
 //! arrival stream against it at increasing rate multiples with
 //! `rbr-serve`'s own load generator, and records wall-clock frames/sec
-//! to `BENCH_serve.json` at the repository root. Criterion then times
-//! the wire codec on its own, the per-frame floor of every number
-//! above.
+//! to `BENCH_serve.json` at the repository root.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rbr_bench::print_artifact;
-use rbr_serve::wire::{encode_frame, FrameReader, Request};
 use rbr_serve::{AdmissionConfig, ClockMode, LoadgenConfig, ServerConfig};
 
 /// The rate multiples the committed artifact sweeps: calibrated load,
@@ -101,34 +98,8 @@ fn record_service_throughput() {
     print_artifact("service throughput (BENCH_serve.json)", &body);
 }
 
-fn bench(c: &mut Criterion) {
+fn bench(_: &mut Criterion) {
     record_service_throughput();
-
-    let mut group = c.benchmark_group("serve");
-    group.sample_size(20);
-
-    // The wire codec floor: encode one submit and read it back.
-    group.bench_function("wire_roundtrip", |b| {
-        b.iter(|| {
-            let frame = encode_frame(
-                &Request::Submit {
-                    id: 42,
-                    arrival_secs: 1234.5,
-                    nodes: 16,
-                    runtime_secs: 3600.0,
-                }
-                .to_json(),
-            );
-            let mut reader = FrameReader::new();
-            reader.extend(&frame);
-            let payload = reader
-                .next_frame()
-                .expect("well-formed frame")
-                .expect("complete frame");
-            Request::from_json(&payload).expect("well-formed request")
-        })
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench);

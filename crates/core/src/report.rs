@@ -15,7 +15,10 @@
 //! JSON is the *data* interchange form: it carries cell values, not
 //! presentation precision. Percent cells serialize as raw fractions,
 //! non-finite floats as `null`, and a reparsed report re-serializes to
-//! the identical JSON string.
+//! the identical JSON string. Both directions go through
+//! [`rbr_obs::json`].
+
+use rbr_obs::json::{self, Json};
 
 /// A rectangular table with a header row.
 #[derive(Clone, Debug, Default)]
@@ -241,33 +244,29 @@ impl Cell {
     /// Appends the JSON form.
     fn write_json(&self, out: &mut String) {
         match self {
-            Cell::Text(s) => write_json_string(out, s),
+            Cell::Text(s) => json::write_str(out, s),
             Cell::Int(v) => out.push_str(&v.to_string()),
-            Cell::Float { value, .. } | Cell::Percent { value, .. } if value.is_finite() => {
-                out.push_str(&format!("{value}"));
+            Cell::Float { value, .. } | Cell::Percent { value, .. } => {
+                json::write_f64(out, *value, "null");
             }
-            Cell::Float { .. } | Cell::Percent { .. } | Cell::Missing => out.push_str("null"),
+            Cell::Missing => out.push_str("null"),
         }
     }
 
-    /// Rebuilds a cell from a parsed JSON value. Number tokens without a
-    /// fractional or exponent part come back as `Int`; everything else
-    /// numeric comes back as `Float` with default display precision
-    /// (precision is presentation state and is not serialized).
+    /// Rebuilds a cell from a parsed JSON value. Integer tokens that fit
+    /// `i64` come back as `Int`; everything else numeric comes back as
+    /// `Float` with default display precision (precision is
+    /// presentation state and is not serialized).
     fn from_value(v: &Json) -> Result<Cell, String> {
+        let float = |value| Ok(Cell::Float { value, prec: 3 });
         match v {
             Json::Null => Ok(Cell::Missing),
             Json::Str(s) => Ok(Cell::Text(s.clone())),
-            Json::Num(tok) => {
-                if !tok.contains(['.', 'e', 'E']) {
-                    if let Ok(i) = tok.parse::<i64>() {
-                        return Ok(Cell::Int(i));
-                    }
-                }
-                tok.parse::<f64>()
-                    .map(|value| Cell::Float { value, prec: 3 })
-                    .map_err(|e| format!("bad number {tok:?}: {e}"))
-            }
+            Json::Int(i) => match i64::try_from(*i) {
+                Ok(i) => Ok(Cell::Int(i)),
+                Err(_) => float(*i as f64),
+            },
+            Json::Num(value) => float(*value),
             other => Err(format!("cell must be null/string/number, got {other:?}")),
         }
     }
@@ -330,13 +329,13 @@ impl TypedTable {
 
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"name\":");
-        write_json_string(out, &self.name);
+        json::write_str(out, &self.name);
         out.push_str(",\"columns\":[");
         for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            write_json_string(out, c);
+            json::write_str(out, c);
         }
         out.push_str("],\"rows\":[");
         for (i, row) in self.rows.iter().enumerate() {
@@ -356,17 +355,14 @@ impl TypedTable {
     }
 
     fn from_value(v: &Json) -> Result<TypedTable, String> {
-        let name = v.get("name")?.str_()?.to_string();
-        let columns: Vec<String> = v
-            .get("columns")?
-            .arr()?
+        let name = text(field(v, "name")?)?;
+        let columns: Vec<String> = list(field(v, "columns")?)?
             .iter()
-            .map(|c| c.str_().map(str::to_string))
+            .map(text)
             .collect::<Result<_, _>>()?;
         let mut rows = Vec::new();
-        for row in v.get("rows")?.arr()? {
-            let cells: Vec<Cell> = row
-                .arr()?
+        for row in list(field(v, "rows")?)? {
+            let cells: Vec<Cell> = list(row)?
                 .iter()
                 .map(Cell::from_value)
                 .collect::<Result<_, _>>()?;
@@ -414,37 +410,45 @@ pub struct RunMeta {
 impl RunMeta {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"experiment\":");
-        write_json_string(out, &self.experiment);
+        json::write_str(out, &self.experiment);
         out.push_str(",\"paper_section\":");
-        write_json_string(out, &self.paper_section);
+        json::write_str(out, &self.paper_section);
         out.push_str(",\"scale\":");
-        write_json_string(out, &self.scale);
+        json::write_str(out, &self.scale);
         out.push_str(&format!(
             ",\"seed\":{},\"replications\":{},\"sim_runs\":{},\"jobs\":{},\"events\":{}",
             self.seed, self.replications, self.sim_runs, self.jobs, self.events
         ));
         out.push_str(",\"wall_time_secs\":");
-        if self.wall_time_secs.is_finite() {
-            out.push_str(&format!("{}", self.wall_time_secs));
-        } else {
-            out.push_str("null");
-        }
+        json::write_f64(out, self.wall_time_secs, "null");
         out.push('}');
     }
 
     fn from_value(v: &Json) -> Result<RunMeta, String> {
+        // Counts are written as integer tokens; a float (`2e3`) or a
+        // token past u64::MAX is a malformed report, not a count.
+        let count = |key| {
+            let value = field(v, key)?;
+            let n = match value {
+                Json::Int(i) => u64::try_from(*i).ok(),
+                _ => None,
+            };
+            n.ok_or_else(|| format!("{key:?}: expected unsigned integer, got {value:?}"))
+        };
         Ok(RunMeta {
-            experiment: v.get("experiment")?.str_()?.to_string(),
-            paper_section: v.get("paper_section")?.str_()?.to_string(),
-            scale: v.get("scale")?.str_()?.to_string(),
-            seed: v.get("seed")?.u64_()?,
-            replications: v.get("replications")?.u64_()? as usize,
-            sim_runs: v.get("sim_runs")?.u64_()?,
-            jobs: v.get("jobs")?.u64_()?,
-            events: v.get("events")?.u64_()?,
-            wall_time_secs: match v.get("wall_time_secs")? {
+            experiment: text(field(v, "experiment")?)?,
+            paper_section: text(field(v, "paper_section")?)?,
+            scale: text(field(v, "scale")?)?,
+            seed: count("seed")?,
+            replications: count("replications")? as usize,
+            sim_runs: count("sim_runs")?,
+            jobs: count("jobs")?,
+            events: count("events")?,
+            wall_time_secs: match field(v, "wall_time_secs")? {
                 Json::Null => f64::NAN,
-                other => other.f64_()?,
+                other => other
+                    .as_f64()
+                    .ok_or_else(|| format!("expected number, got {other:?}"))?,
             },
         })
     }
@@ -575,11 +579,9 @@ impl Report {
 
     /// Parses a report from its JSON rendering.
     pub fn from_json(s: &str) -> Result<Report, String> {
-        let v = parse_json(s)?;
-        let meta = RunMeta::from_value(v.get("meta")?)?;
-        let tables = v
-            .get("tables")?
-            .arr()?
+        let v = Json::parse(s)?;
+        let meta = RunMeta::from_value(field(&v, "meta")?)?;
+        let tables = list(field(&v, "tables")?)?
             .iter()
             .map(TypedTable::from_value)
             .collect::<Result<_, _>>()?;
@@ -587,304 +589,20 @@ impl Report {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON support. The workspace deliberately carries no JSON crate;
-// reports only need objects/arrays/strings/numbers/null, so a ~150-line
-// recursive-descent parser keeps the renderer round-trippable without a
-// new dependency.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw token so integer-ness and
-/// full precision survive until a consumer picks a type.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// `v[key]`, or an error naming the missing key.
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing key {key:?}"))
 }
 
-impl Json {
-    fn get(&self, key: &str) -> Result<&Json, String> {
-        match self {
-            Json::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing key {key:?}")),
-            other => Err(format!("expected object with key {key:?}, got {other:?}")),
-        }
-    }
-
-    fn str_(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    fn arr(&self) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-
-    fn u64_(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(tok) => tok
-                .parse::<u64>()
-                .map_err(|e| format!("expected unsigned integer, got {tok:?}: {e}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    fn f64_(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(tok) => tok
-                .parse::<f64>()
-                .map_err(|e| format!("expected number, got {tok:?}: {e}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
+fn text(v: &Json) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("expected string, got {v:?}"))
 }
 
-/// Appends `s` as a JSON string literal.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = JsonParser { src, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-struct JsonParser<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.src[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {lit:?}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_start = self.pos;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        Ok(Json::Num(self.src[start..self.pos].to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let bytes = self.src.as_bytes();
-            let run_start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|c| c != b'"' && c != b'\\' && c >= 0x20)
-            {
-                self.pos += 1;
-            }
-            if self.pos > run_start {
-                // Safe slice: '"' and '\\' are ASCII, so run boundaries
-                // fall on UTF-8 character boundaries.
-                out.push_str(&self.src[run_start..self.pos]);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = bytes.get(self.pos).copied();
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect a following \uXXXX.
-                                self.eat(b'\\')?;
-                                self.eat(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let Some(hex) = self.src.get(self.pos..end) else {
-            return Err(self.err("truncated unicode escape"));
-        };
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(code)
-    }
+fn list(v: &Json) -> Result<&[Json], String> {
+    v.as_arr()
+        .ok_or_else(|| format!("expected array, got {v:?}"))
 }
 
 #[cfg(test)]
@@ -1013,21 +731,17 @@ mod tests {
     }
 
     #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(Report::from_json("").is_err());
+    fn from_json_rejects_incomplete_reports() {
         assert!(Report::from_json("{\"meta\":{}}").is_err());
-        assert!(Report::from_json("{\"meta\":null,\"tables\":[]} trailing").is_err());
-    }
-
-    #[test]
-    fn json_parser_accepts_unicode_escapes() {
-        let report = Report::from_json(
-            "{\"meta\":{\"experiment\":\"\\u00e9\\ud83d\\ude00\",\"paper_section\":\"s\",\
-             \"scale\":\"smoke\",\"seed\":1,\"replications\":1,\"sim_runs\":0,\"jobs\":0,\
-             \"events\":0,\"wall_time_secs\":1.5},\"tables\":[]}",
-        )
-        .expect("parse");
-        assert_eq!(report.meta.experiment, "é😀");
+        assert!(Report::from_json("{\"meta\":null,\"tables\":[]}").is_err());
+        // Counts must be in-range integer tokens.
+        let json = sample_report().render_json();
+        let seed = "\"seed\":18446744073709551615";
+        assert!(json.contains(seed));
+        for bad in ["18446744073709551616", "-1", "2e3", "1.0", "\"1\""] {
+            let text = json.replace(seed, &format!("\"seed\":{bad}"));
+            assert!(Report::from_json(&text).is_err(), "seed {bad} accepted");
+        }
     }
 
     #[test]

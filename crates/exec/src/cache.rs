@@ -18,7 +18,7 @@
 //! temp file + rename so concurrent campaigns sharing one cache dir
 //! never observe a torn entry.
 //!
-//! Each entry is two JSONL lines in the journal's hand-rolled dialect:
+//! Each entry is two JSONL lines in the journal's record format:
 //! an identity header, then the cell's [`Record`] verbatim (including
 //! the original `elapsed_secs`, so a cache-hit replay journals exactly
 //! what the original run journalled).
@@ -27,8 +27,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+use rbr_obs::json;
+
 use crate::hash;
-use crate::journal::{write_json_string, Record};
+use crate::journal::Record;
 
 /// Registry handles for cache traffic (registered once each; per-call
 /// cost is a relaxed load while metrics are off).
@@ -108,15 +110,16 @@ impl CellCache {
             .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
 
         let mut text = String::from("{\"cache\":\"rbr-cell-v1\",\"campaign\":");
-        write_json_string(&mut text, manifest);
+        json::write_str(&mut text, manifest);
         text.push_str(",\"key\":");
-        write_json_string(&mut text, &record.key);
+        json::write_str(&mut text, &record.key);
         text.push_str("}\n");
         text.push_str(&format!("{{\"cell\":{},\"key\":", record.cell));
-        write_json_string(&mut text, &record.key);
-        text.push_str(&format!(",\"elapsed_secs\":{}", record.elapsed_secs));
+        json::write_str(&mut text, &record.key);
+        text.push_str(",\"elapsed_secs\":");
+        json::write_f64(&mut text, record.elapsed_secs, "0");
         text.push_str(",\"payload\":");
-        write_json_string(&mut text, &record.payload);
+        json::write_str(&mut text, &record.payload);
         text.push_str("}\n");
 
         let tmp = parent.join(format!(".{content_key}.{}.tmp", std::process::id()));
@@ -138,7 +141,7 @@ fn parse_identity(line: &[u8]) -> Result<(String, String), String> {
     let rest = src
         .strip_prefix("{\"cache\":\"rbr-cell-v1\",\"campaign\":")
         .ok_or("bad cache header")?;
-    // The two identity strings are written by `write_json_string`, so a
+    // The two identity strings are written by `json::write_str`, so a
     // tiny dedicated split suffices: find the `,"key":` separator at the
     // top level by re-scanning through the first string.
     let mut p = crate::journal::Scanner::new(rest.as_bytes())?;

@@ -29,9 +29,14 @@
 //!   time breakdown, or re-render a metrics snapshot — what `rbr obs`
 //!   serves on the command line.
 //!
+//! Underneath all three sits [`json`], the workspace's one JSON codec:
+//! the report, journal and wire formats of the other crates read and
+//! write through it too.
+//!
 //! The crate is dependency-free (std only) so every other crate in the
 //! workspace can instrument itself without a cycle.
 
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod trace;

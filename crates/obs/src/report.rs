@@ -2,250 +2,15 @@
 //! per-phase time breakdown, and parse a metrics snapshot back from its
 //! JSON form — what the `rbr obs` subcommand serves.
 //!
-//! Includes a small self-contained JSON reader (the crate is
-//! dependency-free); it accepts the canonical output of
-//! [`crate::trace`] and [`crate::metrics::Snapshot::render_json`] and
-//! any equivalent JSON, and skips lines it cannot parse (counted, so
-//! truncated traces degrade instead of failing).
+//! Records are read with [`crate::json`]; the fold skips lines it
+//! cannot parse (counted, so truncated traces degrade instead of
+//! failing).
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead};
 
+use crate::json::Json;
 use crate::metrics::{Snapshot, Value as MetricValue};
-
-/// A parsed JSON value (just enough for traces and snapshots).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (kept as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, key order preserved by sorting (BTreeMap).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// The value at `key` if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// This value as a string slice, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// This value as a number, if a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// This value as a u64, if a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str upstream).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid utf-8 in number")?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-}
-
-/// Parses one JSON document from `text`.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing data at byte {}", parser.pos));
-    }
-    Ok(value)
-}
 
 /// Aggregate of one named span or phase across a trace.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -306,7 +71,7 @@ pub fn fold_trace(reader: impl BufRead) -> io::Result<TraceSummary> {
             continue;
         }
         summary.lines += 1;
-        let Ok(record) = parse_json(&line) else {
+        let Ok(record) = Json::parse(&line) else {
             summary.skipped += 1;
             continue;
         };
@@ -435,8 +200,8 @@ impl TraceSummary {
 /// Parses a snapshot previously written by
 /// [`Snapshot::render_json`] back into a [`Snapshot`].
 pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
-    let root = parse_json(text)?;
-    let Some(Json::Arr(metrics)) = root.get("metrics") else {
+    let root = Json::parse(text)?;
+    let Some(metrics) = root.get("metrics").and_then(Json::as_arr) else {
         return Err("snapshot JSON lacks a \"metrics\" array".to_string());
     };
     let mut entries = Vec::with_capacity(metrics.len());
@@ -471,9 +236,9 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| format!("histogram {name} without a sum"))?;
                 let mut buckets = Vec::new();
-                if let Some(Json::Arr(pairs)) = m.get("buckets") {
+                if let Some(pairs) = m.get("buckets").and_then(Json::as_arr) {
                     for pair in pairs {
-                        let Json::Arr(items) = pair else {
+                        let Some(items) = pair.as_arr() else {
                             return Err(format!("histogram {name} bucket is not a pair"));
                         };
                         let (Some(floor), Some(n)) = (
@@ -503,27 +268,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
 mod tests {
     use super::*;
     use std::io::Cursor;
-
-    #[test]
-    fn json_parser_round_trips_trace_lines() {
-        let line = "{\"kind\":\"event\",\"clock\":\"sim\",\"t\":12.5,\"name\":\"x\",\
-                    \"fields\":{\"a\":3,\"b\":\"s\",\"c\":-1.5}}";
-        let v = parse_json(line).expect("parse");
-        assert_eq!(v.get("kind").and_then(Json::as_str), Some("event"));
-        assert_eq!(v.get("t").and_then(Json::as_f64), Some(12.5));
-        let fields = v.get("fields").expect("fields");
-        assert_eq!(fields.get("a").and_then(Json::as_u64), Some(3));
-        assert_eq!(fields.get("b").and_then(Json::as_str), Some("s"));
-        assert_eq!(fields.get("c").and_then(Json::as_f64), Some(-1.5));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse_json("{\"a\":").is_err());
-        assert!(parse_json("nope").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("").is_err());
-    }
 
     #[test]
     fn fold_aggregates_phases_spans_events() {
@@ -565,6 +309,8 @@ not json at all\n";
         let snap = Snapshot {
             entries: vec![
                 ("a.count".to_string(), Value::Counter(42)),
+                // A name needing escapes must still parse back.
+                ("b.\"quoted\"\\path".to_string(), Value::Counter(1)),
                 ("b.level".to_string(), Value::Gauge(2.25)),
                 (
                     "c.hist".to_string(),

@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::json;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
 
@@ -97,28 +99,6 @@ pub fn flush() -> io::Result<()> {
     Ok(())
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:?}"));
-    } else {
-        out.push('0');
-    }
-}
-
 fn write_line(line: &str) {
     let mut sink = SINK.lock().expect("trace sink lock");
     if let Some(writer) = sink.as_mut() {
@@ -139,28 +119,22 @@ pub fn event(clock: Clock, t: f64, name: &str, fields: &[(&str, Field<'_>)]) {
     line.push_str("{\"kind\":\"event\",\"clock\":\"");
     line.push_str(clock.label());
     line.push_str("\",\"t\":");
-    push_f64(&mut line, t);
-    line.push_str(",\"name\":\"");
-    push_escaped(&mut line, name);
-    line.push('"');
+    json::write_f64(&mut line, t, "0");
+    line.push_str(",\"name\":");
+    json::write_str(&mut line, name);
     if !fields.is_empty() {
         line.push_str(",\"fields\":{");
         for (i, (key, value)) in fields.iter().enumerate() {
             if i > 0 {
                 line.push(',');
             }
-            line.push('"');
-            push_escaped(&mut line, key);
-            line.push_str("\":");
+            json::write_str(&mut line, key);
+            line.push(':');
             match value {
                 Field::U64(v) => line.push_str(&format!("{v}")),
                 Field::I64(v) => line.push_str(&format!("{v}")),
-                Field::F64(v) => push_f64(&mut line, *v),
-                Field::Str(s) => {
-                    line.push('"');
-                    push_escaped(&mut line, s);
-                    line.push('"');
-                }
+                Field::F64(v) => json::write_f64(&mut line, *v, "0"),
+                Field::Str(s) => json::write_str(&mut line, s),
             }
         }
         line.push('}');
@@ -177,12 +151,12 @@ pub fn phase(scope: &str, name: &str, secs: f64) {
         return;
     }
     let mut line = String::with_capacity(64);
-    line.push_str("{\"kind\":\"phase\",\"scope\":\"");
-    push_escaped(&mut line, scope);
-    line.push_str("\",\"name\":\"");
-    push_escaped(&mut line, name);
-    line.push_str("\",\"secs\":");
-    push_f64(&mut line, secs);
+    line.push_str("{\"kind\":\"phase\",\"scope\":");
+    json::write_str(&mut line, scope);
+    line.push_str(",\"name\":");
+    json::write_str(&mut line, name);
+    line.push_str(",\"secs\":");
+    json::write_f64(&mut line, secs, "0");
     line.push('}');
     write_line(&line);
 }
@@ -198,10 +172,10 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let secs = self.start.elapsed().as_secs_f64();
         let mut line = String::with_capacity(64);
-        line.push_str("{\"kind\":\"span\",\"name\":\"");
-        push_escaped(&mut line, &self.name);
-        line.push_str("\",\"secs\":");
-        push_f64(&mut line, secs);
+        line.push_str("{\"kind\":\"span\",\"name\":");
+        json::write_str(&mut line, &self.name);
+        line.push_str(",\"secs\":");
+        json::write_f64(&mut line, secs, "0");
         line.push('}');
         write_line(&line);
     }

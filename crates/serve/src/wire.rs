@@ -9,7 +9,7 @@
 
 use std::io::Write as _;
 
-use crate::json::Json;
+use rbr_obs::json::{self, Json};
 
 /// Upper bound on a single frame payload; anything larger is a protocol
 /// error, not a buffering request.
@@ -198,7 +198,7 @@ impl Response {
     /// numbers in `f64` display form, strings needing no escapes.
     fn write_json(&self, out: &mut Vec<u8>) {
         let num = |out: &mut Vec<u8>, key: &str, x: f64| {
-            let _ = write!(out, "\"{key}\":{x},");
+            let _ = write!(out, "\"{key}\":{},", json::Float(x, "null"));
         };
         out.push(b'{');
         match self {
@@ -548,6 +548,13 @@ mod tests {
             }
         }
         assert_eq!(out, want, "frames are appended back to back");
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_is_an_error_not_a_stack_overflow() {
+        let payload = "[".repeat(MAX_FRAME - 1);
+        assert!(Request::from_json(&payload).is_err());
+        assert!(Response::from_json(&payload).is_err());
     }
 
     #[test]
